@@ -1,0 +1,5 @@
+"""Wall-clock and simulated-clock benchmark of the MassiveGNN simulator.
+
+Run ``python3 perfbench/run.py --workload NAME --seed N --seconds S --trace 0|1``
+from the repository root; see ``perfbench/README.md``.
+"""
