@@ -25,6 +25,7 @@ from repro.nn.tensor_utils import (
     leaky_relu_backward,
     relu,
     relu_backward,
+    scatter_add,
     segment_softmax,
     segment_softmax_backward,
     segment_sum,
@@ -132,15 +133,15 @@ class GATLayer(Module):
 
         grad_alpha = (grad_messages * z_src_e).sum(axis=2)            # (num_edges, H)
         grad_z_src = np.zeros_like(cache["z_src"])
-        np.add.at(grad_z_src, block.edge_src, alpha[:, :, None] * grad_messages)
+        scatter_add(grad_z_src, block.edge_src, alpha[:, :, None] * grad_messages)
 
         grad_score = segment_softmax_backward(grad_alpha, alpha, block.edge_dst, block.num_dst)
         grad_score_pre = leaky_relu_backward(grad_score, cache["score_pre"], self.negative_slope)
 
         grad_el = np.zeros((block.num_src, H), dtype=np.float32)
         grad_er = np.zeros((block.num_dst, H), dtype=np.float32)
-        np.add.at(grad_el, block.edge_src, grad_score_pre)
-        np.add.at(grad_er, block.edge_dst, grad_score_pre)
+        scatter_add(grad_el, block.edge_src, grad_score_pre)
+        scatter_add(grad_er, block.edge_dst, grad_score_pre)
 
         # el = sum(z_src * attn_l); er = sum(z_dst * attn_r)
         self.attn_l.grad += (grad_el[:, :, None] * cache["z_src"]).sum(axis=0)

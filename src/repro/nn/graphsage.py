@@ -21,6 +21,7 @@ import numpy as np
 from repro.nn.layers import Module, Parameter
 from repro.nn.tensor_utils import (
     ACTIVATIONS,
+    scatter_add,
     segment_mean,
     segment_mean_backward,
     xavier_uniform,
@@ -83,7 +84,7 @@ class SAGELayer(Module):
         grad_h_src = np.zeros_like(cache["h_src"])
         grad_h_src[: block.num_dst] += grad_h_dst
         grad_messages = segment_mean_backward(grad_agg, block.edge_dst, block.num_dst)
-        np.add.at(grad_h_src, block.edge_src, grad_messages)
+        scatter_add(grad_h_src, block.edge_src, grad_messages)
         self._cache = None
         return grad_h_src
 

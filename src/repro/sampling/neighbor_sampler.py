@@ -202,30 +202,31 @@ class NeighborSampler:
 
         Returns ``(new_src_nodes, edge_src_index, edge_dst_index)`` where the
         edge indices refer to positions in ``concat([dst, new_src_nodes])`` and
-        ``dst`` respectively.
+        ``dst`` respectively.  Capped nodes are drawn one at a time, in dst
+        order, by :meth:`_draw`.
         """
         indptr, indices = self.graph.indptr, self.graph.indices
+        starts = indptr[dst]
+        degs = indptr[dst + 1] - starts
+        counts = degs if fanout == -1 else np.minimum(degs, fanout)
         sampled_src_chunks: List[np.ndarray] = []
-        edge_dst_chunks: List[np.ndarray] = []
-        for i, node in enumerate(dst):
-            start, end = indptr[node], indptr[node + 1]
-            neigh = indices[start:end]
-            if len(neigh) == 0:
+        for start, deg in zip(starts.tolist(), degs.tolist()):
+            if deg == 0:
                 continue
-            if fanout == -1 or len(neigh) <= fanout:
-                chosen = neigh
-            else:
-                chosen = self.rng.choice(neigh, size=fanout, replace=False)
-            sampled_src_chunks.append(np.asarray(chosen, dtype=np.int64))
-            edge_dst_chunks.append(np.full(len(chosen), i, dtype=np.int64))
+            neigh = indices[start : start + deg]
+            capped = fanout != -1 and deg > fanout
+            sampled_src_chunks.append(self._draw(neigh, fanout) if capped else neigh)
 
         if sampled_src_chunks:
-            sampled_src = np.concatenate(sampled_src_chunks)
-            edge_dst = np.concatenate(edge_dst_chunks)
+            sampled_src = np.concatenate(sampled_src_chunks).astype(np.int64, copy=False)
         else:
             sampled_src = np.zeros(0, dtype=np.int64)
-            edge_dst = np.zeros(0, dtype=np.int64)
+        edge_dst = np.repeat(np.arange(len(dst), dtype=np.int64), counts)
         return _finalize_layer(dst, sampled_src, edge_dst, self._pos_scratch)
+
+    def _draw(self, neigh: np.ndarray, fanout: int) -> np.ndarray:
+        """*fanout* of a capped node's neighbors, without replacement."""
+        return self.rng.choice(neigh, size=fanout, replace=False)
 
 
 class LoopNeighborSampler(NeighborSampler):
@@ -244,35 +245,14 @@ class LoopNeighborSampler(NeighborSampler):
 
     name = "loop"
 
-    def _sample_one_layer(self, dst: np.ndarray, fanout: int):
-        indptr, indices = self.graph.indptr, self.graph.indices
-        sampled_src_chunks: List[np.ndarray] = []
-        edge_dst_chunks: List[np.ndarray] = []
-        for i, node in enumerate(dst):
-            start, end = indptr[node], indptr[node + 1]
-            neigh = indices[start:end]
-            if len(neigh) == 0:
-                continue
-            if fanout == -1 or len(neigh) <= fanout:
-                chosen = neigh
-            else:
-                u = self.rng.random(fanout)
-                deg = len(neigh)
-                arr = neigh.copy()
-                for r in range(fanout):
-                    j = r + int(u[r] * (deg - r))
-                    arr[r], arr[j] = arr[j], arr[r]
-                chosen = arr[:fanout]
-            sampled_src_chunks.append(np.asarray(chosen, dtype=np.int64))
-            edge_dst_chunks.append(np.full(len(chosen), i, dtype=np.int64))
-
-        if sampled_src_chunks:
-            sampled_src = np.concatenate(sampled_src_chunks)
-            edge_dst = np.concatenate(edge_dst_chunks)
-        else:
-            sampled_src = np.zeros(0, dtype=np.int64)
-            edge_dst = np.zeros(0, dtype=np.int64)
-        return _finalize_layer(dst, sampled_src, edge_dst, self._pos_scratch)
+    def _draw(self, neigh: np.ndarray, fanout: int) -> np.ndarray:
+        u = self.rng.random(fanout)
+        deg = len(neigh)
+        arr = neigh.copy()
+        for r in range(fanout):
+            j = r + int(u[r] * (deg - r))
+            arr[r], arr[j] = arr[j], arr[r]
+        return arr[:fanout]
 
 
 class VectorizedNeighborSampler(NeighborSampler):
