@@ -1,7 +1,7 @@
 """Baseline (DistDGL-style) distributed training entry point.
 
 A thin shim over the pipeline API: ``train_baseline(...)`` is exactly
-``TrainingEngine(cluster, train_config).run_pipeline("baseline")``.
+``train_with_pipeline(dataset, "baseline", ...)``.
 """
 
 from __future__ import annotations
@@ -12,7 +12,7 @@ from repro.distributed.cluster import ClusterConfig, SimCluster
 from repro.distributed.cost_model import CostModel
 from repro.graph.datasets import GraphDataset
 from repro.training.config import TrainConfig
-from repro.training.engine import TrainingEngine
+from repro.training.massive import train_with_pipeline
 from repro.training.telemetry import TrainingReport
 
 
@@ -29,9 +29,11 @@ def train_baseline(
     share partitions and seed assignments) or let this function build one from
     ``cluster_config``.
     """
-    cluster_config = cluster_config or ClusterConfig()
-    train_config = train_config or TrainConfig()
-    if cluster is None:
-        cluster = SimCluster(dataset, cluster_config, cost_model=cost_model)
-    engine = TrainingEngine(cluster, train_config)
-    return engine.run_pipeline("baseline")
+    return train_with_pipeline(
+        dataset,
+        "baseline",
+        cluster_config=cluster_config,
+        train_config=train_config,
+        cost_model=cost_model,
+        cluster=cluster,
+    )

@@ -1,17 +1,18 @@
 """Cluster-scale pipeline execution: every trainer runs its own pipeline.
 
-:class:`ClusterEngine` is the multi-machine counterpart of
-:class:`~repro.training.engine.TrainingEngine`: it instantiates one registered
-:class:`~repro.sampling.pipeline.MiniBatchPipeline` per
+:class:`ClusterEngine` is the lockstep synchronous-DDP loop: it instantiates
+one registered :class:`~repro.sampling.pipeline.MiniBatchPipeline` per
 :class:`~repro.distributed.cluster.TrainerContext` — each trainer with its own
 :class:`~repro.features.store.FeatureStore`, RNG streams, and
 :class:`~repro.distributed.clock.SimClock` — and steps them epoch-by-epoch
 with synchronous :func:`~repro.distributed.ddp.allreduce_gradients` barriers.
 Allreduce cost and straggler wait both go through the cost model, so
-per-trainer and critical-path simulated times come out of the same Eq. 2 /
-Eqs. 3–5 timing policies the single-run engine uses.
+per-trainer and critical-path simulated times come out of the pipelines'
+Eq. 2 / Eqs. 3–5 timing policies.  The single-run
+:class:`~repro.training.engine.TrainingEngine` is a front for this loop that
+returns only the embedded :class:`TrainingReport`.
 
-What it adds over ``TrainingEngine``:
+Beyond plain synchronous DDP it provides:
 
 * **heterogeneity** — each machine charges compute through its own cost model
   (:meth:`SimCluster.cost_model_for_machine`), so ``compute_multipliers`` in
@@ -25,11 +26,9 @@ What it adds over ``TrainingEngine``:
   rates, RPC bytes) consumed by ``bench_cluster_scaling`` and the CLI's
   ``run --cluster`` command.
 
-The loop is deliberately an independent implementation of the engine's epoch
-semantics (sharing only :func:`~repro.training.engine.train_step` and the
-report assembly): the differential tests in ``tests/test_cluster_engine.py``
-prove that on a homogeneous cluster it reproduces ``run_pipeline`` numerics
-bit-for-bit, which is what makes the scenario extensions trustworthy.
+Where trainer steps run is pluggable (:mod:`repro.training.backends`); every
+backend shares :func:`~repro.training.engine.train_step` and the report
+assembly, so the process pool reproduces the inline loop bit-for-bit.
 """
 
 from __future__ import annotations
@@ -319,9 +318,10 @@ def prepare_cluster_run(
 ) -> ClusterRunSetup:
     """Reset the cluster and build model/optimizer/pipelines for one run.
 
-    Mirrors the single-run engine's setup exactly (same derive_seed salts,
-    same init-cost charging order), which is what the differential tests on
-    both cluster engines rely on.
+    Both cluster engines and every execution backend start from this one
+    setup (same derive_seed salts, same init-cost charging order), which is
+    what lets the async engine's allreduce-barrier mode and the process pool
+    reproduce the inline lockstep loop bit-for-bit.
     """
     if isinstance(pipeline, str):
         name: Optional[str] = PIPELINES.resolve(pipeline)
@@ -473,9 +473,10 @@ class ClusterEngine:
     ) -> ClusterReport:
         """Train the cluster with one *pipeline* instance per trainer.
 
-        Same contract as :meth:`TrainingEngine.run_pipeline`, but returns a
-        :class:`ClusterReport` whose embedded :class:`TrainingReport` is
-        bit-identical to the single-run engine's on a homogeneous cluster.
+        ``pipeline`` is a name registered in
+        :data:`~repro.training.pipelines.PIPELINES` or a custom builder;
+        :meth:`TrainingEngine.run_pipeline` returns the embedded
+        :class:`TrainingReport` of this :class:`ClusterReport`.
         ``cache_config`` parameterizes the tiered cache sources and is only
         forwarded when set, so custom builders with the historical signature
         keep working.
@@ -604,8 +605,10 @@ class ClusterEngine:
 
         The wait each trainer spends for the step's straggler is measured
         *before* the clocks are advanced, so barrier wait is separable from
-        the pipeline's own stalls while the clock totals stay identical to
-        :class:`TrainingEngine`'s accounting.
+        the pipeline's own stalls.  The wait is still charged to the
+        ``stall`` component, exactly as
+        :func:`~repro.distributed.clock.synchronize` would, so the per-trainer
+        clock ledgers keep one meaning across engines.
         """
         trainers = self.cluster.trainers
         allreduce_t = self.cost_model.time_allreduce(num_params, len(trainers))

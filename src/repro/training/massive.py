@@ -77,11 +77,15 @@ def compare_baseline_and_prefetch(
     Sharing the cluster guarantees both runs see identical partitions and seed
     assignments, which is how the paper's Fig. 6 comparison is constructed.
     """
-    cluster_config = cluster_config or ClusterConfig()
-    train_config = train_config or TrainConfig()
-    prefetch_config = prefetch_config or PrefetchConfig()
-    cluster = SimCluster(dataset, cluster_config, cost_model=cost_model)
-    engine = TrainingEngine(cluster, train_config)
-    baseline_report = engine.run_pipeline("baseline")
-    prefetch_report = engine.run_pipeline("prefetch", prefetch_config=prefetch_config)
+    cluster = SimCluster(dataset, cluster_config or ClusterConfig(), cost_model=cost_model)
+    baseline_report = train_with_pipeline(
+        dataset, "baseline", train_config=train_config, cluster=cluster
+    )
+    prefetch_report = train_with_pipeline(
+        dataset,
+        "prefetch",
+        prefetch_config=prefetch_config or PrefetchConfig(),
+        train_config=train_config,
+        cluster=cluster,
+    )
     return baseline_report, prefetch_report

@@ -22,9 +22,9 @@ Each builder assembles, per trainer, a
 *timing policy* (:data:`TIMING_POLICIES`) mapping component costs onto the
 trainer's simulated clock.  Pipelines are registered in :data:`PIPELINES`,
 so new strategies plug in without touching any engine — the same builders
-serve the single-run :class:`~repro.training.engine.TrainingEngine`, the
-lockstep :class:`~repro.training.cluster_engine.ClusterEngine`, and the
-event-driven :class:`~repro.training.async_engine.AsyncClusterEngine`
+serve the lockstep :class:`~repro.training.cluster_engine.ClusterEngine`
+(and its single-run front :class:`~repro.training.engine.TrainingEngine`) and
+the event-driven :class:`~repro.training.async_engine.AsyncClusterEngine`
 (selected from :data:`~repro.training.engines.ENGINES`), which is what keeps
 their numerics differentially testable against each other.
 """

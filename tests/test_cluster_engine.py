@@ -1,13 +1,15 @@
-"""Differential tests pinning the ClusterEngine to TrainingEngine numerics,
-plus scenario-registry and cluster-telemetry coverage.
+"""ClusterEngine tests: the single-run front, telemetry, and scenarios.
 
-The acceptance bar for the cluster subsystem: on a homogeneous cluster the
-:class:`~repro.training.cluster_engine.ClusterEngine` loop must be
-**bit-identical** to :meth:`TrainingEngine.run_pipeline` — same losses, same
-hit rates, same simulated times, same RPC traffic — for both the serial
-(Eq. 2) and overlapped (Eqs. 3-5) pipelines.  Equivalence is checked on
-freshly built clusters because sampler/seed RNG streams are stateful across
-runs on a shared cluster.
+:meth:`TrainingEngine.run_pipeline` is a front for the
+:class:`~repro.training.cluster_engine.ClusterEngine` lockstep loop, so its
+report must be **bit-identical** to ``ClusterEngine.run().report`` — same
+losses, hit rates, simulated times and RPC traffic — for the serial (Eq. 2)
+and overlapped (Eqs. 3-5) pipelines, on homogeneous and heterogeneous
+clusters alike (the heterogeneous case guards against the front charging
+compute through the shared cost model instead of each machine's).
+Equivalence is checked on freshly built clusters because sampler/seed RNG
+streams are stateful across runs on a shared cluster.  The rest of the file
+covers per-trainer telemetry, straggler machines, and the scenario registry.
 """
 
 import numpy as np
@@ -72,13 +74,25 @@ class TestDifferentialEquivalence:
         assert cluster_report.critical_path_time_s == reference.total_simulated_time_s
         assert cluster_report.load_imbalance == 1.0
 
-    @pytest.mark.parametrize("pipeline", ["baseline", "prefetch"])
-    def test_2x2_cluster_matches_run_pipeline(self, small_dataset, pipeline):
-        """Stronger than required: multi-trainer barriers must also be exact."""
+    @pytest.mark.parametrize(
+        "pipeline, multipliers",
+        [
+            ("baseline", None),
+            ("prefetch", None),
+            ("baseline", (1.0, 2.0)),
+            ("prefetch", (1.0, 2.0)),
+        ],
+        ids=["baseline", "prefetch", "baseline-straggler", "prefetch-straggler"],
+    )
+    def test_2x2_cluster_matches_run_pipeline(self, small_dataset, pipeline, multipliers):
+        """Multi-trainer barriers must also be exact, with a straggler machine too."""
         kwargs = {} if pipeline == "baseline" else {
             "prefetch_config": PrefetchConfig(**PREFETCH)
         }
-        config = ClusterConfig(num_machines=2, trainers_per_machine=2, **CLUSTER_KW)
+        config = ClusterConfig(
+            num_machines=2, trainers_per_machine=2,
+            compute_multipliers=multipliers, **CLUSTER_KW
+        )
         reference = TrainingEngine(
             SimCluster(small_dataset, config), TrainConfig(**TRAIN)
         ).run_pipeline(pipeline, **kwargs)
