@@ -3,12 +3,13 @@
 Seeds the repository's perf trajectory (``BENCH_hotpath.json``) with the
 quantities the sampler→fetch→prefetch hot path is judged on:
 
-* **sampler ns/node** — wall-clock cost of the ``loop`` (per-node reference)
-  vs. ``vectorized`` (batched partial Fisher–Yates) samplers on a 100k-node
-  smoke graph (papers100M-like average degree), plus a hub-heavy R-MAT stress
-  graph and the ``legacy`` ``Generator.choice`` baseline.  The script exits
-  nonzero if the vectorized sampler's smoke-graph speedup over the loop
-  sampler falls below ``--min-speedup`` — the CI gate.
+* **sampler ns/node** — wall-clock cost of the ``loop`` row
+  (``LoopNeighborSampler``, the per-node reference) vs. the ``vectorized``
+  row (``NeighborSampler``, the batched partial Fisher–Yates draw every
+  trainer runs) on a 100k-node smoke graph (papers100M-like average degree),
+  plus a hub-heavy R-MAT stress graph.  The script exits nonzero if the
+  vectorized sampler's smoke-graph speedup over the loop sampler falls below
+  ``--min-speedup`` — the CI gate.
 * **fetch rows/s** — feature-store assembly throughput on the hot-halo
   workload's buffered data path.
 * **wire-request counts** — logical vs. coalesced wire RPC totals of the
@@ -48,14 +49,15 @@ from repro.distributed.rpc import aggregate_rpc_stats
 from repro.features import LocalKVStoreSource, SourceContext, build_feature_source
 from repro.features.store import FeatureStore
 from repro.graph.generators import planted_partition_graph, rmat_graph
-from repro.sampling.neighbor_sampler import build_sampler
+from repro.sampling.neighbor_sampler import LoopNeighborSampler, NeighborSampler
 from repro.scenarios import SCENARIOS
 
-SAMPLER_NAMES = ("loop", "vectorized", "legacy")
+# Row name -> sampler class: the per-node reference and the production sampler.
+SAMPLER_ROWS = {"loop": LoopNeighborSampler, "vectorized": NeighborSampler}
 
 
 # --------------------------------------------------------------------------- #
-# Part 1: sampler throughput (loop vs. vectorized vs. legacy)
+# Part 1: sampler throughput (loop vs. vectorized)
 # --------------------------------------------------------------------------- #
 def bench_samplers(graph, batch_size: int, rounds: int, fanouts):
     seed_rng = np.random.default_rng(3)
@@ -66,17 +68,17 @@ def bench_samplers(graph, batch_size: int, rounds: int, fanouts):
 
     # Self-check: the loop and vectorized samplers must produce identical
     # minibatches on the same seed before their timings are comparable.
-    check_a = build_sampler("loop", graph, fanouts, seed=1).sample(seed_batches[0])
-    check_b = build_sampler("vectorized", graph, fanouts, seed=1).sample(seed_batches[0])
+    check_a = LoopNeighborSampler(graph, fanouts, seed=1).sample(seed_batches[0])
+    check_b = NeighborSampler(graph, fanouts, seed=1).sample(seed_batches[0])
     for x, y in zip(check_a.blocks, check_b.blocks):
         assert np.array_equal(x.src_nodes, y.src_nodes)
         assert np.array_equal(x.edge_src, y.edge_src)
         assert np.array_equal(x.edge_dst, y.edge_dst)
 
     results = {}
-    for name in SAMPLER_NAMES:
-        build_sampler(name, graph, fanouts, seed=1).sample(seed_batches[0])  # warm-up
-        sampler = build_sampler(name, graph, fanouts, seed=1)
+    for name, sampler_cls in SAMPLER_ROWS.items():
+        sampler_cls(graph, fanouts, seed=1).sample(seed_batches[0])  # warm-up
+        sampler = sampler_cls(graph, fanouts, seed=1)
         nodes_visited = 0
         edges_sampled = 0
         start = time.perf_counter()
@@ -102,9 +104,6 @@ def bench_samplers(graph, batch_size: int, rounds: int, fanouts):
         "per_sampler": results,
         "speedup_vectorized_over_loop": (
             results["loop"]["seconds_total"] / results["vectorized"]["seconds_total"]
-        ),
-        "speedup_vectorized_over_legacy": (
-            results["legacy"]["seconds_total"] / results["vectorized"]["seconds_total"]
         ),
     }
 
@@ -357,12 +356,11 @@ def main(argv=None) -> int:
 
     def report(tag, result):
         print(f"    [{tag}] {result['graph_nodes']} nodes / {result['graph_edges']} edges")
-        for name in SAMPLER_NAMES:
+        for name in SAMPLER_ROWS:
             row = result["per_sampler"][name]
             print(f"    {name:>10}: {row['seconds_per_batch']*1e3:8.1f} ms/batch   "
                   f"{row['ns_per_node']:9.1f} ns/node   {row['ns_per_edge']:7.1f} ns/edge")
-        print(f"    vectorized speedup: {result['speedup_vectorized_over_loop']:.1f}x over loop, "
-              f"{result['speedup_vectorized_over_legacy']:.1f}x over legacy")
+        print(f"    vectorized speedup: {result['speedup_vectorized_over_loop']:.1f}x over loop")
 
     print(f"[1/5] sampler bench: {args.rounds} x {args.batch_size} seeds, "
           f"fanouts {args.fanouts}")

@@ -30,7 +30,7 @@ Commands
 ``sweep``
     Grid-search (f_h, γ, Δ) and print the Table IV-style optimum.
 ``tune``
-    Sweep a scenario's full knob surface (sampler, rpc, cache policies,
+    Sweep a scenario's full knob surface (rpc, cache policies,
     engine/sync, serving parameters — any :data:`repro.tuning.AXES` axis)
     with a grid or seeded-random strategy, rank candidates by an
     :data:`repro.tuning.OBJECTIVES` score, and optionally freeze the winner
@@ -71,7 +71,6 @@ from repro.distributed.cost_model import CostModel
 from repro.distributed.rpc import RPC_CHANNELS
 from repro.events.sync import SYNC_POLICIES
 from repro.graph.datasets import available_datasets, load_dataset
-from repro.sampling.neighbor_sampler import SAMPLERS
 from repro.scenarios import (
     SCENARIOS,
     UNSET,
@@ -138,12 +137,6 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument(
         "--eviction-policy", default=None, choices=EVICTION_POLICIES.names(),
         help="eviction policy for the prefetch buffer (default: the config's, score-threshold)",
-    )
-    run.add_argument(
-        "--sampler", default=None, choices=SAMPLERS.names(),
-        help="neighbor-sampler registry key (default: legacy). 'vectorized' is the "
-             "batched random-key fan-out draw; 'loop' is its per-node reference twin "
-             "(bit-identical output and RNG stream)",
     )
     run.add_argument(
         "--rpc", default=None, choices=RPC_CHANNELS.names(),
@@ -534,7 +527,6 @@ def _cmd_run_cluster(
         fanouts=tuple(args.fanouts) if args.fanouts else None,
         backend=args.backend,
         epochs=args.epochs,
-        sampler=args.sampler,
         rpc=args.rpc,
         engine=args.engine,
         sync=args.sync,
@@ -864,7 +856,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
             fanouts=tuple(args.fanouts) if args.fanouts else (10, 25),
             backend=backend,
             seed=args.seed,
-            sampler=args.sampler or "legacy",
             rpc=args.rpc or "per-call",
         ),
         cost_model=CostModel.preset(backend),

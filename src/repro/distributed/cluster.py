@@ -55,9 +55,7 @@ class ClusterConfig:
     that machine's trainers compute twice as slowly — a straggler).  ``None``
     means a homogeneous cluster.
 
-    ``sampler`` and ``rpc`` select hot-path implementations by registry key:
-    :data:`repro.sampling.neighbor_sampler.SAMPLERS` (``"legacy"`` default,
-    ``"vectorized"`` for the batched fan-out draw) and
+    ``rpc`` selects the RPC channel by registry key from
     :data:`repro.distributed.rpc.RPC_CHANNELS` (``"per-call"`` default,
     ``"batched"`` for per-machine owner coalescing).
 
@@ -76,7 +74,6 @@ class ClusterConfig:
     backend: str = "cpu"
     seed: int = 0
     compute_multipliers: Optional[Sequence[float]] = None
-    sampler: str = "legacy"
     rpc: str = "per-call"
     # Hot-set drift (cache-stress scenarios): each epoch only a rotating
     # window of ``seed_active_fraction`` of a trainer's seeds is active,
@@ -101,11 +98,8 @@ class ClusterConfig:
             raise ValueError(f"seed_rotation must be in [0, 1], got {self.seed_rotation!r}")
         if self.backend not in ("cpu", "gpu"):
             raise ValueError(f"backend must be 'cpu' or 'gpu', got {self.backend!r}")
-        # Resolve registry keys eagerly so typos fail at config time with the
-        # registry's list-of-valid-names error, not mid-run.
-        from repro.sampling.neighbor_sampler import SAMPLERS
-
-        self.sampler = SAMPLERS.resolve(self.sampler)
+        # Resolve the registry key eagerly so a typo fails at config time with
+        # the registry's list-of-valid-names error, not mid-run.
         self.rpc = RPC_CHANNELS.resolve(self.rpc)
         if self.compute_multipliers is not None:
             multipliers = tuple(float(m) for m in self.compute_multipliers)
@@ -241,7 +235,6 @@ class SimCluster:
                     batch_size=config.batch_size,
                     labels=self.dataset.labels,
                     seed=derive_seed(config.seed, 307, global_rank),
-                    sampler=config.sampler,
                     seed_active_fraction=config.seed_active_fraction,
                     seed_rotation=config.seed_rotation,
                 )

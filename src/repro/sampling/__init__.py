@@ -3,11 +3,8 @@
 from repro.sampling.block import Block, MiniBatch
 from repro.sampling.dataloader import DistDataLoader
 from repro.sampling.neighbor_sampler import (
-    SAMPLERS,
     LoopNeighborSampler,
     NeighborSampler,
-    VectorizedNeighborSampler,
-    build_sampler,
     sample_for_partition,
     split_local_halo,
 )
@@ -28,9 +25,6 @@ __all__ = [
     "DistDataLoader",
     "NeighborSampler",
     "LoopNeighborSampler",
-    "VectorizedNeighborSampler",
-    "SAMPLERS",
-    "build_sampler",
     "sample_for_partition",
     "split_local_halo",
     "BatchStage",

@@ -15,7 +15,7 @@ import numpy as np
 
 from repro.graph.halo import GraphPartition
 from repro.sampling.block import MiniBatch
-from repro.sampling.neighbor_sampler import NeighborSampler, build_sampler
+from repro.sampling.neighbor_sampler import NeighborSampler
 from repro.sampling.seeds import SeedIterator
 from repro.utils.rng import SeedLike, derive_seed
 
@@ -36,11 +36,6 @@ class DistDataLoader:
         Seeds per minibatch (paper: 2000).
     labels:
         Optional global label array used to attach seed labels to minibatches.
-    sampler:
-        Registry key from :data:`repro.sampling.neighbor_sampler.SAMPLERS`
-        selecting the fan-out implementation (``"legacy"`` default; the
-        ``"vectorized"`` hot path and its ``"loop"`` reference twin share a
-        different — random-key — RNG stream).
     """
 
     def __init__(
@@ -52,15 +47,13 @@ class DistDataLoader:
         labels: Optional[np.ndarray] = None,
         seed: SeedLike = None,
         drop_last: bool = False,
-        sampler: str = "legacy",
         seed_active_fraction: float = 1.0,
         seed_rotation: float = 0.0,
     ):
         self.partition = partition
         self.labels = labels
-        self.sampler_name = sampler
-        self.sampler: NeighborSampler = build_sampler(
-            sampler, partition.local_graph, fanouts, seed=derive_seed(seed, partition.part_id, 11)
+        self.sampler = NeighborSampler(
+            partition.local_graph, fanouts, seed=derive_seed(seed, partition.part_id, 11)
         )
         self.seed_iterator = SeedIterator(
             seeds_local,

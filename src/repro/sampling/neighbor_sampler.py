@@ -12,25 +12,15 @@ The sampler is deliberately stochastic and stateless across minibatches: this
 non-determinism is exactly why a static cache is insufficient and a scored
 prefetch buffer (the paper's contribution) is needed.
 
-Three implementations are registered in :data:`SAMPLERS`:
-
-* ``"legacy"`` — the original per-node loop drawing capped neighborhoods with
-  ``Generator.choice``.  It remains the **default** because the repository's
-  golden fixtures pin its exact RNG stream; ``choice``'s rejection-sampled
-  stream consumption cannot be reproduced by a batched draw.
-* ``"loop"`` — the per-node reference implementation of the *partial
-  Fisher–Yates* fan-out draw: a capped node consumes exactly ``fanout``
-  uniforms, each selecting the next swap target of a truncated shuffle.
-  Statistically identical to ``"legacy"`` (a uniform draw without
-  replacement) but expressible as one batched draw per layer.
-* ``"vectorized"`` — the hot-path implementation of the same draw:
-  degree-bucketed CSR slicing for take-all nodes and a **single** batched
-  ``rng.random`` call over offset arithmetic for all capped nodes, with the
-  ``fanout`` swap rounds vectorized across nodes.  Because NumPy generators
-  consume the stream sequentially, one batched draw is bit-equal to the
-  loop's concatenated per-node draws — ``"loop"`` and ``"vectorized"``
-  produce identical blocks, edge indices, and RNG-stream consumption (pinned
-  by ``tests/test_sampler_differential.py``).
+Each capped node (more than ``fanout`` neighbors) draws a *partial
+Fisher–Yates* shuffle: it consumes exactly ``fanout`` uniform doubles, swap
+round *i* exchanging positions ``i`` and ``i + floor(u_i * (deg - i))`` of its
+neighbor list.  :class:`NeighborSampler` runs those rounds vectorized across
+every capped node of a layer off **one** batched ``rng.random`` call;
+:class:`LoopNeighborSampler` is its per-node reference twin.  Because NumPy
+generators consume the stream sequentially, the two produce identical blocks,
+edge indices, and RNG-stream consumption (pinned by
+``tests/test_sampler_differential.py``).
 """
 
 from __future__ import annotations
@@ -42,7 +32,6 @@ import numpy as np
 from repro.graph.csr import CSRGraph
 from repro.graph.halo import GraphPartition
 from repro.sampling.block import Block, MiniBatch
-from repro.utils.registry import Registry
 from repro.utils.rng import SeedLike, ensure_rng
 from repro.utils.validation import check_1d_int_array
 
@@ -53,7 +42,7 @@ def _finalize_layer(
     edge_dst: np.ndarray,
     pos_scratch: np.ndarray,
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Map sampled neighbors onto frontier rows; shared by every sampler.
+    """Map sampled neighbors onto frontier rows; shared by both samplers.
 
     ``pos_scratch`` is a reusable ``num_nodes``-sized array filled with ``-1``
     (restored before returning) giving O(1) node-id -> frontier-row lookups,
@@ -100,11 +89,13 @@ def _finalize_layer(
 class NeighborSampler:
     """Layer-wise uniform neighbor sampler over a local (partition) graph.
 
-    This base class is the ``"legacy"`` implementation: a per-node Python loop
-    drawing capped neighborhoods with ``Generator.choice``.  It stays the
-    default so the golden fixtures' RNG streams remain bit-identical; the
-    ``"loop"``/``"vectorized"`` pair in :data:`SAMPLERS` implements the
-    equivalent partial Fisher–Yates draw with a vectorizable stream.
+    Nodes are bucketed by degree: take-all nodes (``deg <= fanout`` or
+    ``fanout == -1``) are gathered by CSR slicing with no RNG at all, and all
+    capped nodes share **one** ``rng.random(fanout * num_capped)`` draw (in
+    dst order); the ``fanout`` swap rounds of the partial Fisher–Yates
+    shuffle then run vectorized across every capped node at once.  Work per
+    capped node is ``O(deg)`` for the initial gather plus ``O(fanout)`` for
+    the swaps — no per-neighbor sort.
 
     Parameters
     ----------
@@ -118,8 +109,6 @@ class NeighborSampler:
     seed:
         RNG seed; each trainer uses an independent stream.
     """
-
-    name = "legacy"
 
     def __init__(self, graph: CSRGraph, fanouts: Sequence[int], seed: SeedLike = None):
         if not fanouts:
@@ -202,75 +191,8 @@ class NeighborSampler:
 
         Returns ``(new_src_nodes, edge_src_index, edge_dst_index)`` where the
         edge indices refer to positions in ``concat([dst, new_src_nodes])`` and
-        ``dst`` respectively.  Capped nodes are drawn one at a time, in dst
-        order, by :meth:`_draw`.
+        ``dst`` respectively.
         """
-        indptr, indices = self.graph.indptr, self.graph.indices
-        starts = indptr[dst]
-        degs = indptr[dst + 1] - starts
-        counts = degs if fanout == -1 else np.minimum(degs, fanout)
-        sampled_src_chunks: List[np.ndarray] = []
-        for start, deg in zip(starts.tolist(), degs.tolist()):
-            if deg == 0:
-                continue
-            neigh = indices[start : start + deg]
-            capped = fanout != -1 and deg > fanout
-            sampled_src_chunks.append(self._draw(neigh, fanout) if capped else neigh)
-
-        if sampled_src_chunks:
-            sampled_src = np.concatenate(sampled_src_chunks).astype(np.int64, copy=False)
-        else:
-            sampled_src = np.zeros(0, dtype=np.int64)
-        edge_dst = np.repeat(np.arange(len(dst), dtype=np.int64), counts)
-        return _finalize_layer(dst, sampled_src, edge_dst, self._pos_scratch)
-
-    def _draw(self, neigh: np.ndarray, fanout: int) -> np.ndarray:
-        """*fanout* of a capped node's neighbors, without replacement."""
-        return self.rng.choice(neigh, size=fanout, replace=False)
-
-
-class LoopNeighborSampler(NeighborSampler):
-    """Per-node reference implementation of the partial Fisher–Yates draw.
-
-    A capped node with degree ``deg`` consumes exactly ``fanout`` uniform
-    doubles: swap round *i* exchanges positions ``i`` and
-    ``i + floor(u_i * (deg - i))`` of its neighbor list, and the first
-    ``fanout`` positions are the sample — a uniform draw without replacement
-    whose stream consumption, unlike ``Generator.choice``'s
-    rejection-sampled integers, is a fixed count of doubles.  Because NumPy
-    generators fill arrays sequentially, :class:`VectorizedNeighborSampler`
-    reproduces this loop bit-for-bit with one batched draw per layer; this
-    class exists as its differential twin and as the benchmark baseline.
-    """
-
-    name = "loop"
-
-    def _draw(self, neigh: np.ndarray, fanout: int) -> np.ndarray:
-        u = self.rng.random(fanout)
-        deg = len(neigh)
-        arr = neigh.copy()
-        for r in range(fanout):
-            j = r + int(u[r] * (deg - r))
-            arr[r], arr[j] = arr[j], arr[r]
-        return arr[:fanout]
-
-
-class VectorizedNeighborSampler(NeighborSampler):
-    """Fully vectorized partial Fisher–Yates fan-out sampler (the hot path).
-
-    Nodes are bucketed by degree: take-all nodes (``deg <= fanout`` or
-    ``fanout == -1``) are gathered by CSR slicing with no RNG at all, and all
-    capped nodes share **one** ``rng.random(fanout * num_capped)`` draw (in
-    dst order); the ``fanout`` swap rounds of the truncated shuffle then run
-    vectorized across every capped node at once.  Work per capped node is
-    ``O(deg)`` for the initial gather plus ``O(fanout)`` for the swaps — no
-    per-neighbor sort — and output and RNG-stream consumption are
-    bit-identical to :class:`LoopNeighborSampler` on the same seed.
-    """
-
-    name = "vectorized"
-
-    def _sample_one_layer(self, dst: np.ndarray, fanout: int):
         indptr, indices = self.graph.indptr, self.graph.indices
         n = len(dst)
         starts = indptr[dst]
@@ -304,7 +226,7 @@ class VectorizedNeighborSampler(NeighborSampler):
             flat = np.repeat(starts[cap_pos], cc) + within
             buf = indices[flat]  # mutable concatenated neighbor lists, dst order
             # The single batched draw: sequential stream consumption makes this
-            # equal to the loop twin's concatenated per-node rng.random(fanout).
+            # equal to LoopNeighborSampler's concatenated per-node draws.
             u = self.rng.random(fanout * num_capped).reshape(num_capped, fanout)
             arange_fanout = np.arange(fanout, dtype=np.int64)
             for r in range(fanout):
@@ -324,20 +246,42 @@ class VectorizedNeighborSampler(NeighborSampler):
         return _finalize_layer(dst, sampled_src, edge_dst, self._pos_scratch)
 
 
-# --------------------------------------------------------------------------- #
-# Registry: samplers constructible by name from configs / CLI / benchmarks
-# --------------------------------------------------------------------------- #
-SAMPLERS = Registry("neighbor sampler")
-SAMPLERS.register("legacy", NeighborSampler, aliases=("choice",))
-SAMPLERS.register("loop", LoopNeighborSampler, aliases=("reference",))
-SAMPLERS.register("vectorized", VectorizedNeighborSampler, aliases=("fast",))
+class LoopNeighborSampler(NeighborSampler):
+    """Per-node reference twin of :class:`NeighborSampler`.
 
+    Capped nodes are drawn one at a time, in dst order: each consumes
+    ``rng.random(fanout)`` and runs the swap rounds of the partial
+    Fisher–Yates shuffle in a Python loop.  Output and RNG-stream consumption
+    are bit-identical to :class:`NeighborSampler` on the same seed; this
+    class exists as its differential oracle and as the benchmark baseline.
+    """
 
-def build_sampler(
-    name: str, graph: CSRGraph, fanouts: Sequence[int], seed: SeedLike = None
-) -> NeighborSampler:
-    """Build a registered neighbor sampler by name (see :data:`SAMPLERS`)."""
-    return SAMPLERS.build(name, graph, fanouts, seed=seed)
+    def _sample_one_layer(self, dst: np.ndarray, fanout: int):
+        indptr, indices = self.graph.indptr, self.graph.indices
+        starts = indptr[dst]
+        degs = indptr[dst + 1] - starts
+        counts = degs if fanout == -1 else np.minimum(degs, fanout)
+        sampled_src_chunks: List[np.ndarray] = []
+        for start, deg in zip(starts.tolist(), degs.tolist()):
+            if deg == 0:
+                continue
+            neigh = indices[start : start + deg]
+            if fanout == -1 or deg <= fanout:
+                sampled_src_chunks.append(neigh)
+                continue
+            u = self.rng.random(fanout)
+            arr = neigh.copy()
+            for r in range(fanout):
+                j = r + int(u[r] * (deg - r))
+                arr[r], arr[j] = arr[j], arr[r]
+            sampled_src_chunks.append(arr[:fanout])
+
+        if sampled_src_chunks:
+            sampled_src = np.concatenate(sampled_src_chunks).astype(np.int64, copy=False)
+        else:
+            sampled_src = np.zeros(0, dtype=np.int64)
+        edge_dst = np.repeat(np.arange(len(dst), dtype=np.int64), counts)
+        return _finalize_layer(dst, sampled_src, edge_dst, self._pos_scratch)
 
 
 def sample_for_partition(

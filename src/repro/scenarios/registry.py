@@ -71,9 +71,7 @@ class ClusterScenario:
     prefetch_config: Optional[PrefetchConfig] = None
     epochs: int = 3
     paper_note: str = ""
-    # Hot-path registry keys (see SAMPLERS / RPC_CHANNELS); the defaults keep
-    # every shipped scenario bit-identical to the pre-registry behavior.
-    sampler: str = "legacy"
+    # RPC channel registry key (see RPC_CHANNELS).
     rpc: str = "per-call"
     # Tiered feature cache (repro.cache): None runs the tier-less data path;
     # a CacheConfig parameterizes the "tiered-cache" pipeline (or threads a
@@ -181,7 +179,6 @@ class ClusterScenario:
             backend=self.backend,
             seed=seed,
             compute_multipliers=self.compute_multipliers,
-            sampler=self.sampler,
             rpc=self.rpc,
             seed_active_fraction=self.seed_active_fraction,
             seed_rotation=self.seed_rotation,

@@ -35,8 +35,8 @@ SPEC_OBJECTS = {
     ),
     "cluster-config-loaded": ClusterConfig(
         num_machines=3, trainers_per_machine=1, batch_size=32, fanouts=(4,),
-        seed=3, compute_multipliers=(2.0, 1.0, 1.0), sampler="vectorized",
-        rpc="batched", congestion=CongestionSpec(),
+        seed=3, compute_multipliers=(2.0, 1.0, 1.0), rpc="batched",
+        congestion=CongestionSpec(),
     ),
     "train-config": TrainConfig(epochs=2, hidden_dim=32, seed=1, evaluate=True),
     "prefetch-config": PrefetchConfig(halo_fraction=0.35, gamma=0.995, delta=8),

@@ -1,12 +1,11 @@
-"""Differential tests pinning the vectorized sampler to its loop twin.
+"""Differential tests pinning :class:`NeighborSampler` to its loop twin.
 
-``"loop"`` and ``"vectorized"`` implement the same random-key fan-out draw;
-because NumPy generators consume the stream sequentially, the vectorized
-sampler's single batched ``rng.random`` call must be bit-equal to the loop's
-concatenated per-node draws — identical blocks, edge indices, *and* RNG-stream
-consumption.  ``"legacy"`` (the default) keeps the original ``Generator.choice``
-stream so the golden fixtures stay pinned; these tests also cover the
-repeated-seed regression and the duplicate-dst guard.
+``NeighborSampler`` and ``LoopNeighborSampler`` implement the same partial
+Fisher–Yates fan-out draw; because NumPy generators consume the stream
+sequentially, the production sampler's single batched ``rng.random`` call must
+be bit-equal to the loop's concatenated per-node draws — identical blocks, edge
+indices, *and* RNG-stream consumption.  These tests also check the draw's
+uniformity, the repeated-seed regression and the duplicate-dst guard.
 """
 
 import numpy as np
@@ -14,13 +13,10 @@ import pytest
 
 from repro.graph.csr import CSRGraph
 from repro.sampling.dataloader import DistDataLoader
-from repro.sampling.neighbor_sampler import (
-    SAMPLERS,
-    LoopNeighborSampler,
-    NeighborSampler,
-    VectorizedNeighborSampler,
-    build_sampler,
-)
+from repro.sampling.neighbor_sampler import LoopNeighborSampler, NeighborSampler
+
+# The per-node reference and the vectorized production sampler.
+SAMPLER_CLASSES = {"loop": LoopNeighborSampler, "vectorized": NeighborSampler}
 
 BLOCK_FIELDS = ("src_nodes", "dst_nodes", "edge_src", "edge_dst", "src_global", "dst_global")
 
@@ -38,40 +34,12 @@ def assert_minibatches_equal(a, b):
             np.testing.assert_array_equal(getattr(x, field), getattr(y, field), err_msg=field)
 
 
-class TestSamplerRegistry:
-    def test_names_and_aliases(self):
-        assert set(SAMPLERS.names()) == {"legacy", "loop", "vectorized"}
-        assert SAMPLERS.resolve("choice") == "legacy"
-        assert SAMPLERS.resolve("reference") == "loop"
-        assert SAMPLERS.resolve("fast") == "vectorized"
-
-    def test_build_returns_right_class(self, tiny_graph):
-        assert type(build_sampler("legacy", tiny_graph, [2], seed=0)) is NeighborSampler
-        assert type(build_sampler("loop", tiny_graph, [2], seed=0)) is LoopNeighborSampler
-        assert type(build_sampler("vectorized", tiny_graph, [2], seed=0)) is VectorizedNeighborSampler
-
-    def test_unknown_name_lists_valid_choices(self, tiny_graph):
-        with pytest.raises(ValueError, match="legacy.*loop.*vectorized"):
-            build_sampler("turbo", tiny_graph, [2], seed=0)
-
-    def test_dataloader_defaults_to_legacy(self, small_partitions):
-        p = small_partitions[0]
-        loader = DistDataLoader(p, np.arange(min(8, p.num_owned)), fanouts=(3,), batch_size=4, seed=0)
-        assert loader.sampler_name == "legacy"
-        assert type(loader.sampler) is NeighborSampler
-        fast = DistDataLoader(
-            p, np.arange(min(8, p.num_owned)), fanouts=(3,), batch_size=4, seed=0,
-            sampler="vectorized",
-        )
-        assert type(fast.sampler) is VectorizedNeighborSampler
-
-
 class TestLoopVectorizedDifferential:
     @pytest.mark.parametrize("fanouts", FANOUT_GRID, ids=str)
     def test_identical_blocks_and_rng_consumption(self, small_dataset, fanouts):
         graph = small_dataset.graph
-        loop = build_sampler("loop", graph, fanouts, seed=123)
-        fast = build_sampler("vectorized", graph, fanouts, seed=123)
+        loop = LoopNeighborSampler(graph, fanouts, seed=123)
+        fast = NeighborSampler(graph, fanouts, seed=123)
         seed_rng = np.random.default_rng(5)
         for step in range(4):
             seeds = np.unique(seed_rng.integers(0, graph.num_nodes, size=40))
@@ -89,8 +57,8 @@ class TestLoopVectorizedDifferential:
         p = small_partitions[0]
         graph = p.local_graph
         assert p.num_halo > 0  # the fixture must actually exercise halo truncation
-        loop = build_sampler("loop", graph, fanouts, seed=31)
-        fast = build_sampler("vectorized", graph, fanouts, seed=31)
+        loop = LoopNeighborSampler(graph, fanouts, seed=31)
+        fast = NeighborSampler(graph, fanouts, seed=31)
         seeds = np.arange(min(25, p.num_owned))
         for step in range(3):
             a = loop.sample(seeds, local_to_global=p.local_to_global, step=step)
@@ -100,8 +68,8 @@ class TestLoopVectorizedDifferential:
 
     def test_isolated_seed_consumes_no_rng(self):
         graph = CSRGraph.empty(6)
-        for name in ("legacy", "loop", "vectorized"):
-            sampler = build_sampler(name, graph, [4], seed=9)
+        for cls in SAMPLER_CLASSES.values():
+            sampler = cls(graph, [4], seed=9)
             before = sampler.rng.bit_generator.state
             mb = sampler.sample(np.array([0, 3]))
             assert mb.blocks[0].num_edges == 0
@@ -109,28 +77,27 @@ class TestLoopVectorizedDifferential:
             assert sampler.rng.bit_generator.state == before
 
     def test_take_all_bucket_consumes_no_rng(self, tiny_graph):
-        """fanout=-1 never draws, so all three samplers agree bit-for-bit."""
+        """fanout=-1 never draws, so both samplers agree bit-for-bit."""
         batches = []
-        for name in ("legacy", "loop", "vectorized"):
-            sampler = build_sampler(name, tiny_graph, [-1, -1], seed=77)
+        for cls in SAMPLER_CLASSES.values():
+            sampler = cls(tiny_graph, [-1, -1], seed=77)
             before = sampler.rng.bit_generator.state
             batches.append(sampler.sample(np.array([0, 1, 2])))
             assert sampler.rng.bit_generator.state == before
         assert_minibatches_equal(batches[0], batches[1])
-        assert_minibatches_equal(batches[1], batches[2])
 
 
 class TestVectorizedInvariants:
-    """The vectorized sampler honors every structural invariant of the loop."""
+    """NeighborSampler honors every structural invariant of the loop."""
 
     def test_fanout_respected(self, small_dataset):
-        sampler = build_sampler("vectorized", small_dataset.graph, [3], seed=0)
+        sampler = NeighborSampler(small_dataset.graph, [3], seed=0)
         mb = sampler.sample(np.arange(20))
         assert np.all(mb.blocks[0].in_degrees() <= 3)
 
     def test_sampled_edges_exist_and_no_replacement(self, small_dataset):
         graph = small_dataset.graph
-        sampler = build_sampler("vectorized", graph, [5], seed=1)
+        sampler = NeighborSampler(graph, [5], seed=1)
         mb = sampler.sample(np.arange(15))
         block = mb.blocks[0]
         for d in range(block.num_dst):
@@ -141,10 +108,28 @@ class TestVectorizedInvariants:
             assert len(np.unique(chosen)) == len(chosen)  # without replacement
 
     def test_dst_prefix_of_src(self, small_dataset):
-        sampler = build_sampler("vectorized", small_dataset.graph, [4, 4], seed=3)
+        sampler = NeighborSampler(small_dataset.graph, [4, 4], seed=3)
         mb = sampler.sample(np.arange(10))
         for block in mb.blocks:
             np.testing.assert_array_equal(block.src_nodes[: block.num_dst], block.dst_nodes)
+
+
+    def test_hub_draw_is_uniform_without_replacement(self):
+        """Each of a degree-40 hub's neighbors is kept with probability 10/40."""
+        degree, fanout, draws = 40, 10, 4000
+        hub = np.zeros(degree, dtype=np.int64)
+        graph = CSRGraph.from_edges(hub, np.arange(1, degree + 1), num_nodes=degree + 1)
+        sampler = NeighborSampler(graph, [fanout], seed=2024)
+        counts = np.zeros(degree + 1, dtype=np.int64)
+        for _ in range(draws):
+            block = sampler.sample(np.array([0])).blocks[0]
+            chosen = block.src_nodes[block.edge_src]
+            assert len(chosen) == fanout
+            assert len(np.unique(chosen)) == fanout  # without replacement
+            counts[chosen] += 1
+        assert counts[0] == 0
+        # Binomial sd of each frequency is sqrt(0.25 * 0.75 / 4000) ~ 0.0068.
+        np.testing.assert_allclose(counts[1:] / draws, fanout / degree, atol=0.03)
 
 
 class TestRepeatedSeeds:
@@ -156,14 +141,14 @@ class TestRepeatedSeeds:
     silently attributing every edge to one arbitrary occurrence.
     """
 
-    @pytest.mark.parametrize("name", ["legacy", "loop", "vectorized"])
+    @pytest.mark.parametrize("name", sorted(SAMPLER_CLASSES))
     def test_repeated_seeds_match_unique_seeds(self, small_dataset, name):
         graph = small_dataset.graph
         repeated = np.array([7, 3, 7, 7, 12, 3, 0], dtype=np.int64)
-        a = build_sampler(name, graph, [3, 4], seed=2).sample(
+        a = SAMPLER_CLASSES[name](graph, [3, 4], seed=2).sample(
             repeated, labels=small_dataset.labels
         )
-        b = build_sampler(name, graph, [3, 4], seed=2).sample(
+        b = SAMPLER_CLASSES[name](graph, [3, 4], seed=2).sample(
             np.unique(repeated), labels=small_dataset.labels
         )
         assert_minibatches_equal(a, b)
@@ -176,8 +161,14 @@ class TestRepeatedSeeds:
         )
         np.testing.assert_array_equal(sampled_dst_rows, np.nonzero(has_neighbors)[0])
 
-    @pytest.mark.parametrize("name", ["legacy", "loop", "vectorized"])
+    @pytest.mark.parametrize("name", sorted(SAMPLER_CLASSES))
     def test_duplicate_dst_frontier_raises(self, small_dataset, name):
-        sampler = build_sampler(name, small_dataset.graph, [2], seed=0)
+        sampler = SAMPLER_CLASSES[name](small_dataset.graph, [2], seed=0)
         with pytest.raises(ValueError, match="duplicate"):
             sampler._sample_one_layer(np.array([1, 4, 1], dtype=np.int64), 2)
+
+
+def test_dataloader_samples_with_neighbor_sampler(small_partitions):
+    p = small_partitions[0]
+    loader = DistDataLoader(p, np.arange(min(8, p.num_owned)), fanouts=(3,), batch_size=4, seed=0)
+    assert type(loader.sampler) is NeighborSampler

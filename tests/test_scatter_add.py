@@ -14,7 +14,7 @@ from repro.graph.datasets import load_dataset
 from repro.graph.generators import rmat_graph
 from repro.nn import tensor_utils as tu
 from repro.nn.graphsage import GraphSAGE, SAGELayer
-from repro.sampling.neighbor_sampler import SAMPLERS, build_sampler
+from repro.sampling.neighbor_sampler import LoopNeighborSampler, NeighborSampler
 
 PATHS = {
     # name: (SCATTER_FLOOR, SCATTER_MIN_ROW, SCATTER_MIN_ROUND)
@@ -183,10 +183,11 @@ def products():
     return load_dataset("products", scale=0.1, seed=5)
 
 
-@pytest.mark.parametrize("sampler", sorted(SAMPLERS.names()))
-def test_sage_layers_byte_equal_to_add_at_reference(products, sampler):
+@pytest.mark.parametrize("sampler_cls", [LoopNeighborSampler, NeighborSampler],
+                         ids=["loop", "vectorized"])
+def test_sage_layers_byte_equal_to_add_at_reference(products, sampler_cls):
     seeds = np.random.default_rng(9).choice(products.graph.num_nodes, 256, replace=False)
-    batch = build_sampler(sampler, products.graph, [10, 25], seed=1).sample(seeds)
+    batch = sampler_cls(products.graph, [10, 25], seed=1).sample(seeds)
     features = products.features[batch.input_local]
     # The outer block is large enough to take the rank path by default.
     assert batch.blocks[0].num_edges * features.shape[1] >= tu.SCATTER_FLOOR
