@@ -462,6 +462,10 @@ class CacheTier:
 
     def _insert(self, global_ids: np.ndarray, rows: np.ndarray,
                 degrees: np.ndarray, step: int) -> None:
+        # Promoted hits arrive in request order, not id order; inserting them
+        # unsorted would break the searchsorted membership test.
+        order = np.argsort(global_ids, kind="stable")
+        global_ids, rows, degrees = global_ids[order], rows[order], degrees[order]
         at = np.searchsorted(self._ids, global_ids)
         self._ids = np.insert(self._ids, at, global_ids)
         self._rows = np.insert(self._rows, at, rows, axis=0)

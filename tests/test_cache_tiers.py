@@ -278,6 +278,25 @@ class TestTieredFeatureCache:
         np.testing.assert_array_equal(rows, server[ids_of(5, 5)])
         np.testing.assert_array_equal(hot.resident_ids, ids_of(5))
 
+    def test_promoting_unsorted_hits_keeps_ids_sorted(self):
+        # Regression: lower-tier hits are promoted in request order, and the
+        # tier inserted them as given, leaving its id index unsorted; the
+        # searchsorted membership test then missed resident rows and the
+        # same id could be admitted twice.
+        server = make_server()
+        hot = CacheTier("hot", 16, DIM, eviction="lru")
+        shared = CacheTier("shared", 16, DIM, eviction="lru")
+        stack = TieredFeatureCache([hot, shared], make_fetcher(server), DIM)
+        shared.admit(ids_of(3, 10, 20, 30, 40), server[ids_of(3, 10, 20, 30, 40)], step=0)
+        stack.fetch(ids_of(30, 10, 20), step=1)
+        stack.fetch(ids_of(40, 3, 30), step=2)
+        ids = hot.resident_ids
+        assert np.all(np.diff(ids) > 0)
+        np.testing.assert_array_equal(ids, ids_of(3, 10, 20, 30, 40))
+        hit_mask, rows = hot.lookup(ids, step=3)
+        assert hit_mask.all()
+        np.testing.assert_array_equal(rows, server[ids])
+
     def test_empty_fetch_touches_nothing(self):
         server = make_server()
         log = []
