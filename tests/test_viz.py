@@ -1,7 +1,6 @@
 """Tests for the ASCII visualization helpers."""
 
 import numpy as np
-import pytest
 
 from repro import viz
 from repro.core.metrics import HitRateTracker
