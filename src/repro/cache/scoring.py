@@ -46,6 +46,7 @@ from typing import TYPE_CHECKING, Callable, Dict, Iterator, List, Optional, Tupl
 
 import numpy as np
 
+from repro.cache.merge import merge_positions, merged
 from repro.utils.registry import Registry
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -369,10 +370,11 @@ class PrefetchScorer:
         return idx, known
 
     def _grow(self, new_ids: np.ndarray) -> None:
-        at = np.searchsorted(self._ids, new_ids)
-        self._ids = np.insert(self._ids, at, new_ids)
-        self._count = np.insert(self._count, at, 0.0)
-        self._last_step = np.insert(self._last_step, at, self._step)
+        """Start tracking *new_ids* (sorted, unique, not yet tracked)."""
+        at, old = merge_positions(self._ids, new_ids)
+        self._ids = merged(self._ids, at, old, new_ids)
+        self._count = merged(self._count, at, old, 0.0)
+        self._last_step = merged(self._last_step, at, old, self._step)
 
     def _features(self, global_ids: np.ndarray, step: int) -> np.ndarray:
         """The ``(n, 4)`` feature matrix (columns follow FEATURE_NAMES)."""

@@ -5,12 +5,25 @@ fixed-capacity (but resizable) mapping from global node id to feature row,
 with a pluggable admission policy deciding what may enter and a pluggable
 eviction policy deciding what leaves when the tier is full.
 
-Storage mirrors :class:`~repro.core.buffer.PrefetchBuffer`'s sorted-index
-idiom — resident ids are kept sorted so membership tests are a single
-``np.searchsorted`` — but unlike the prefetch buffer a tier's capacity can
-change at runtime (the adaptive controller re-splits tier budgets between
-epochs) and each resident carries recency/frequency/reference metadata for
-the LRU/LFU/CLOCK policies.
+Storage has two parts:
+
+* a **slab** of ``capacity x feature_dim`` float32 rows addressed by slot,
+  plus a stack of free slots.  A row is written once when it is admitted and
+  stays in its slot until it is evicted, so admits and evictions never move
+  the rows already resident.  The slab is reallocated only when the resident
+  set is replaced wholesale (:meth:`seed`, :meth:`restore`,
+  :meth:`invalidate`) or the capacity changes (:meth:`resize`);
+* a small **index** kept sorted by global id: the ids themselves, each row's
+  slot, and the recency/frequency/reference/degree metadata the eviction
+  policies read.  Membership is one ``np.searchsorted`` over the ids, as in
+  :class:`~repro.core.buffer.PrefetchBuffer`.  An admit or eviction computes
+  the new positions once and rebuilds every index array from them.
+
+Policies see the index arrays in sorted-id order, exactly as when the rows
+themselves were stored in that order.  The order matters: LRU's stable
+argsort, CLOCK's persistent hand and scored eviction's lexsort all break ties
+by position, so exposing slot order instead would change which rows are
+evicted.
 """
 
 from __future__ import annotations
@@ -20,6 +33,7 @@ from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
+from repro.cache.merge import merge_positions, merged
 from repro.cache.policies import (
     build_admission_policy,
     build_cache_eviction_policy,
@@ -150,12 +164,8 @@ class CacheTier:
                 log.register(self)
                 self.record_decisions = True
 
-        self._ids = np.zeros(0, dtype=np.int64)
-        self._rows = np.zeros((0, self.feature_dim), dtype=np.float32)
-        self._last_access = np.zeros(0, dtype=np.int64)
-        self._freq = np.zeros(0, dtype=np.int64)
-        self._ref = np.zeros(0, dtype=bool)
-        self._degrees = np.zeros(0, dtype=np.int64)
+        self._clear_index()
+        self._reslab(np.zeros((0, self.feature_dim), dtype=np.float32))
 
     # ------------------------------------------------------------------ #
     # Introspection (policies read these views)
@@ -185,9 +195,15 @@ class CacheTier:
         return self._degrees
 
     def nbytes(self) -> int:
+        """Bytes of the resident rows and their metadata (plus the scorer's).
+
+        Counts what a packed store of the resident set holds; the slab's free
+        slots and the slot index are storage layout, not cached data.
+        """
         scorer_bytes = self.scorer.nbytes() if self.scorer is not None else 0
         return int(
-            self._rows.nbytes + self._ids.nbytes + self._last_access.nbytes
+            self.size * self.feature_dim * self._slab.itemsize
+            + self._ids.nbytes + self._last_access.nbytes
             + self._freq.nbytes + self._ref.nbytes + self._degrees.nbytes
             + scorer_bytes
         )
@@ -254,25 +270,27 @@ class CacheTier:
         recency/frequency/reference metadata the eviction policies read.
         """
         global_ids = check_1d_int_array(global_ids, "global_ids")
-        self.stats.lookups += int(len(global_ids))
+        num = int(len(global_ids))
+        self.stats.lookups += num
         self.last_step = max(self.last_step, int(step))
-        if self.size == 0 or len(global_ids) == 0:
-            self.stats.misses += int(len(global_ids))
-            if self.scorer is not None and len(global_ids):
-                self.scorer.observe(global_ids, step,
-                                    np.zeros(len(global_ids), dtype=bool))
+        if self.size == 0 or num == 0:
+            self.stats.misses += num
+            if self.scorer is not None and num:
+                self.scorer.observe(global_ids, step, np.zeros(num, dtype=bool))
             return (
-                np.zeros(len(global_ids), dtype=bool),
+                np.zeros(num, dtype=bool),
                 np.zeros((0, self.feature_dim), dtype=np.float32),
             )
-        idx = np.minimum(np.searchsorted(self._ids, global_ids), self.size - 1)
-        hit_mask = self._ids[idx] == global_ids
+        idx, hit_mask = self._find(global_ids)
         hit_idx = idx[hit_mask]
-        self.stats.hits += int(hit_mask.sum())
-        self.stats.misses += int((~hit_mask).sum())
-        if len(hit_idx):
+        hits = int(len(hit_idx))
+        self.stats.hits += hits
+        self.stats.misses += num - hits
+        if hits:
             self._last_access[hit_idx] = step
-            np.add.at(self._freq, hit_idx, 1)
+            # A repeated id bumps its count once per occurrence.
+            counts = np.bincount(hit_idx)
+            self._freq[:len(counts)] += counts
             self._ref[hit_idx] = True
         if self.scorer is not None:
             # The request stream (hits AND misses) is the scorer's signal: a
@@ -280,15 +298,14 @@ class CacheTier:
             # admitting before it ever hits.
             self.scorer.observe(global_ids, step, hit_mask)
         # Advanced indexing already materializes a fresh array; no copy needed.
-        return hit_mask, self._rows[hit_idx]
+        return hit_mask, self._slab[self._slots[hit_idx]]
 
     def contains(self, global_ids: np.ndarray) -> np.ndarray:
         """Boolean membership mask (no metadata updates, no stats)."""
         global_ids = check_1d_int_array(global_ids, "global_ids")
         if self.size == 0 or len(global_ids) == 0:
             return np.zeros(len(global_ids), dtype=bool)
-        idx = np.minimum(np.searchsorted(self._ids, global_ids), self.size - 1)
-        return self._ids[idx] == global_ids
+        return self._find(global_ids)[1]
 
     # ------------------------------------------------------------------ #
     # Population
@@ -307,12 +324,13 @@ class CacheTier:
         if len(np.unique(global_ids)) != len(global_ids):
             raise ValueError("seeded ids must be unique")
         order = np.argsort(global_ids, kind="stable")
+        size = len(global_ids)
         self._ids = global_ids[order].copy()
-        self._rows = np.asarray(rows, dtype=np.float32)[order].copy()
-        self._last_access = np.full(self.size, step, dtype=np.int64)
-        self._freq = np.zeros(self.size, dtype=np.int64)
-        self._ref = np.ones(self.size, dtype=bool)
+        self._last_access = np.full(size, step, dtype=np.int64)
+        self._freq = np.zeros(size, dtype=np.int64)
+        self._ref = np.ones(size, dtype=bool)
         self._degrees = self._degrees_for(self._ids)
+        self._reslab(np.asarray(rows, dtype=np.float32)[order])
 
     def admit(self, global_ids: np.ndarray, rows: np.ndarray, step: int) -> int:
         """Offer fetched rows to the tier; returns how many were inserted.
@@ -329,12 +347,16 @@ class CacheTier:
         rows = np.asarray(rows, dtype=np.float32)
         # Deduplicate the offer: promotion of a request that repeated an id
         # would otherwise insert the same id into two slots, silently wasting
-        # capacity and breaking the unique-ids invariant seed() enforces.
-        unique_ids, first = np.unique(global_ids, return_index=True)
-        if len(unique_ids) != len(global_ids):
-            global_ids, rows = unique_ids, rows[first]
-        fresh = ~self.contains(global_ids)
-        global_ids, rows = global_ids[fresh], rows[fresh]
+        # capacity and breaking the unique-ids invariant seed() enforces.  The
+        # miss path offers np.unique output, which needs no second pass.
+        ordered = bool((global_ids[1:] > global_ids[:-1]).all())
+        if not ordered:
+            unique_ids, first = np.unique(global_ids, return_index=True)
+            if len(unique_ids) != len(global_ids):
+                global_ids, rows, ordered = unique_ids, rows[first], True
+        if self.size:
+            fresh = ~self._find(global_ids)[1]
+            global_ids, rows = global_ids[fresh], rows[fresh]
         if len(global_ids) == 0 or self.capacity == 0:
             self.stats.rejections += int(len(global_ids))
             return 0
@@ -361,6 +383,10 @@ class CacheTier:
                 admitted, rows, degrees = admitted[keep], rows[keep], degrees[keep]
         if len(admitted) == 0:
             return 0
+        if not ordered:
+            # Promoted hits arrive in request order, not id order.
+            order = np.argsort(admitted)
+            admitted, rows, degrees = admitted[order], rows[order], degrees[order]
         self._insert(admitted, rows, degrees, step)
         self.stats.admissions += int(len(admitted))
         return int(len(admitted))
@@ -373,24 +399,24 @@ class CacheTier:
         only the resident set goes cold.
         """
         dropped = self.size
-        self._ids = np.zeros(0, dtype=np.int64)
-        self._rows = np.zeros((0, self.feature_dim), dtype=np.float32)
-        self._last_access = np.zeros(0, dtype=np.int64)
-        self._freq = np.zeros(0, dtype=np.int64)
-        self._ref = np.zeros(0, dtype=bool)
-        self._degrees = np.zeros(0, dtype=np.int64)
+        self._clear_index()
+        self._reslab(np.zeros((0, self.feature_dim), dtype=np.float32))
         self.clock_hand = 0
         self.stats.evictions += dropped
         return dropped
 
     def snapshot(self) -> Dict[str, object]:
-        """Checkpointable tier contents: resident arrays, counters, capacity."""
+        """Checkpointable tier contents: resident arrays, counters, capacity.
+
+        Rows come back in sorted-id order, aligned with ``ids``, whatever
+        slots they occupy.
+        """
         return {
             "capacity": self.capacity,
             "clock_hand": self.clock_hand,
             "last_step": self.last_step,
             "ids": self._ids.copy(),
-            "rows": self._rows.copy(),
+            "rows": self._slab[self._slots],
             "last_access": self._last_access.copy(),
             "freq": self._freq.copy(),
             "ref": self._ref.copy(),
@@ -404,11 +430,11 @@ class CacheTier:
         self.clock_hand = int(state["clock_hand"])
         self.last_step = int(state["last_step"])
         self._ids = state["ids"].copy()
-        self._rows = state["rows"].copy()
         self._last_access = state["last_access"].copy()
         self._freq = state["freq"].copy()
         self._ref = state["ref"].copy()
         self._degrees = state["degrees"].copy()
+        self._reslab(state["rows"])
         self.stats = state["stats"].snapshot()
 
     def resize(self, new_capacity: int, step: int = 0) -> int:
@@ -437,7 +463,9 @@ class CacheTier:
                          else np.unique(victims))
             evicted = overflow
             self.stats.evictions += overflow
-        self.capacity = new_capacity
+        if new_capacity != self.capacity:
+            self.capacity = new_capacity
+            self._reslab(self._slab[self._slots])
         return evicted
 
     # ------------------------------------------------------------------ #
@@ -448,13 +476,43 @@ class CacheTier:
             return np.zeros(len(global_ids), dtype=np.int64)
         return np.asarray(self.degree_of(global_ids), dtype=np.int64)
 
-    def _remove(self, indices: np.ndarray) -> None:
-        self._ids = np.delete(self._ids, indices)
-        self._rows = np.delete(self._rows, indices, axis=0)
-        self._last_access = np.delete(self._last_access, indices)
-        self._freq = np.delete(self._freq, indices)
-        self._ref = np.delete(self._ref, indices)
-        self._degrees = np.delete(self._degrees, indices)
+    def _find(self, global_ids: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        """``(positions, found)`` of validated ids in a non-empty index."""
+        idx = np.minimum(np.searchsorted(self._ids, global_ids), self.size - 1)
+        return idx, self._ids[idx] == global_ids
+
+    def _clear_index(self) -> None:
+        self._ids = np.zeros(0, dtype=np.int64)
+        self._last_access = np.zeros(0, dtype=np.int64)
+        self._freq = np.zeros(0, dtype=np.int64)
+        self._ref = np.zeros(0, dtype=bool)
+        self._degrees = np.zeros(0, dtype=np.int64)
+
+    def _reslab(self, rows: np.ndarray) -> None:
+        """A fresh slab holding *rows*, one per index entry, in slots ``0..n-1``.
+
+        ``_free`` is a stack of vacant slots whose live part is always its
+        first ``capacity - size`` entries; it starts as ``capacity-1 .. n``.
+        """
+        size = len(rows)
+        self._slab = np.zeros((self.capacity, self.feature_dim), dtype=np.float32)
+        self._slab[:size] = rows
+        self._slots = np.arange(size, dtype=np.int64)
+        self._free = np.arange(self.capacity - 1, -1, -1, dtype=np.int64)
+
+    def _remove(self, positions: np.ndarray) -> None:
+        """Evict the index entries at *positions*; their slots become free."""
+        keep = np.ones(self.size, dtype=bool)
+        keep[positions] = False
+        freed = self._slots[~keep]
+        top = self.capacity - self.size
+        self._free[top:top + len(freed)] = freed
+        self._ids = self._ids[keep]
+        self._slots = self._slots[keep]
+        self._last_access = self._last_access[keep]
+        self._freq = self._freq[keep]
+        self._ref = self._ref[keep]
+        self._degrees = self._degrees[keep]
         if self.size:
             self.clock_hand %= self.size
         else:
@@ -462,14 +520,14 @@ class CacheTier:
 
     def _insert(self, global_ids: np.ndarray, rows: np.ndarray,
                 degrees: np.ndarray, step: int) -> None:
-        # Promoted hits arrive in request order, not id order; inserting them
-        # unsorted would break the searchsorted membership test.
-        order = np.argsort(global_ids, kind="stable")
-        global_ids, rows, degrees = global_ids[order], rows[order], degrees[order]
-        at = np.searchsorted(self._ids, global_ids)
-        self._ids = np.insert(self._ids, at, global_ids)
-        self._rows = np.insert(self._rows, at, rows, axis=0)
-        self._last_access = np.insert(self._last_access, at, step)
-        self._freq = np.insert(self._freq, at, 0)
-        self._ref = np.insert(self._ref, at, True)
-        self._degrees = np.insert(self._degrees, at, degrees)
+        """Place rows for new, strictly increasing *global_ids* in free slots."""
+        top = self.capacity - self.size
+        slots = self._free[top - len(global_ids):top]
+        self._slab[slots] = rows
+        at, old = merge_positions(self._ids, global_ids)
+        self._ids = merged(self._ids, at, old, global_ids)
+        self._slots = merged(self._slots, at, old, slots)
+        self._last_access = merged(self._last_access, at, old, step)
+        self._freq = merged(self._freq, at, old, 0)
+        self._ref = merged(self._ref, at, old, True)
+        self._degrees = merged(self._degrees, at, old, degrees)

@@ -48,20 +48,27 @@ def check_1d_int_array(
     max_value: Optional[int] = None,
     allow_empty: bool = True,
 ) -> np.ndarray:
-    """Coerce *array* to a 1-D int64 NumPy array and validate its range."""
-    arr = np.asarray(array)
-    if arr.ndim != 1:
-        raise ValueError(f"{name} must be 1-D, got shape {arr.shape}")
+    """Coerce *array* to a 1-D int64 NumPy array and validate its range.
+
+    A 1-D int64 ndarray, the common case on the hot paths, skips the
+    coercion and is returned as is once its range checks pass.
+    """
+    if type(array) is np.ndarray and array.dtype == np.int64 and array.ndim == 1:
+        arr = array
+    else:
+        arr = np.asarray(array)
+        if arr.ndim != 1:
+            raise ValueError(f"{name} must be 1-D, got shape {arr.shape}")
+        if arr.size and not np.issubdtype(arr.dtype, np.integer):
+            if np.issubdtype(arr.dtype, np.floating) and np.all(arr == np.floor(arr)):
+                arr = arr.astype(np.int64)
+            else:
+                raise TypeError(f"{name} must be an integer array, got dtype {arr.dtype}")
+        arr = arr.astype(np.int64, copy=False)
     if arr.size == 0:
         if not allow_empty:
             raise ValueError(f"{name} must not be empty")
-        return arr.astype(np.int64)
-    if not np.issubdtype(arr.dtype, np.integer):
-        if np.issubdtype(arr.dtype, np.floating) and np.all(arr == np.floor(arr)):
-            arr = arr.astype(np.int64)
-        else:
-            raise TypeError(f"{name} must be an integer array, got dtype {arr.dtype}")
-    arr = arr.astype(np.int64, copy=False)
+        return arr
     if arr.min() < 0:
         raise ValueError(f"{name} contains negative indices")
     if max_value is not None and arr.max() >= max_value:

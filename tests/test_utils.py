@@ -143,6 +143,24 @@ class TestValidation:
         with pytest.raises(ValueError):
             check_1d_int_array([], "ids", allow_empty=False)
 
+    @pytest.mark.parametrize("as_int64", [True, False])
+    def test_check_1d_int_array_int64_fast_path_keeps_checks(self, as_int64):
+        # An int64 ndarray skips coercion but must fail exactly like a list.
+        def wrap(values):
+            return np.asarray(values, dtype=np.int64) if as_int64 else list(values)
+
+        ids = wrap([3, 1, 2])
+        out = check_1d_int_array(ids, "ids")
+        assert out.dtype == np.int64 and out.tolist() == [3, 1, 2]
+        assert (out is ids) == as_int64
+        with pytest.raises(ValueError, match="ids contains negative indices"):
+            check_1d_int_array(wrap([-1, 0]), "ids")
+        with pytest.raises(ValueError, match="ids contains index 5 >= allowed maximum 5"):
+            check_1d_int_array(wrap([5]), "ids", max_value=5)
+        with pytest.raises(ValueError, match="ids must not be empty"):
+            check_1d_int_array(wrap([]), "ids", allow_empty=False)
+        assert check_1d_int_array(wrap([]), "ids").dtype == np.int64
+
     def test_check_2d_float_array(self):
         out = check_2d_float_array(np.ones((3, 4)), "x")
         assert out.dtype == np.float32
